@@ -180,12 +180,15 @@ let policy ~template ~batch ~population : (module Ft_explore.Search_loop.POLICY)
         ctx
       in
       Ft_explore.Search_loop.trial_span ~key:"autotvm" ~index (fun () ->
-          (* Retrain the cost model on everything measured so far. *)
+          (* Retrain the cost model on everything measured so far,
+             newest point first (the row order the fit was pinned on). *)
+          let h = state.archive in
+          let n = Ft_anneal.Sa.Archive.length h in
           let xs =
-            Array.of_list
-              (List.map (fun (cfg, _) -> Space.features space cfg) state.evaluated)
+            Array.init n (fun j ->
+                Space.features space (Ft_anneal.Sa.Archive.point h (n - 1 - j)))
           in
-          let ys = Array.of_list (List.map snd state.evaluated) in
+          let ys = Array.init n (fun j -> Ft_anneal.Sa.Archive.value h (n - 1 - j)) in
           let model = Ft_gbt.Boost.fit ~rounds:12 ~depth:3 xs ys in
           if Ft_obs.Trace.active () then
             Ft_obs.Trace.event "gbt.train" [ ("points", Int (Array.length xs)) ];

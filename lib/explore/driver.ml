@@ -13,7 +13,7 @@ type result = {
 type state = {
   evaluator : Evaluator.t;
   visited : (string, unit) Hashtbl.t;
-  mutable evaluated : (Ft_schedule.Config.t * float) list;  (* the set H *)
+  archive : Ft_schedule.Config.t Ft_anneal.Sa.Archive.t;  (* the set H *)
   mutable best : Ft_schedule.Config.t * float;
   mutable samples : sample list;  (* reverse chronological *)
 }
@@ -23,6 +23,8 @@ let visit_key state key = Hashtbl.replace state.visited key ()
 let visit state cfg = visit_key state (Ft_schedule.Config.key cfg)
 
 let seen state cfg = Hashtbl.mem state.visited (Ft_schedule.Config.key cfg)
+
+let evaluated state = Ft_anneal.Sa.Archive.to_list state.archive
 
 let record_sample state =
   state.samples <-
@@ -36,7 +38,7 @@ let record_sample state =
 (* Fold an already-committed point into H, update the incumbent. *)
 let absorb_keyed state cfg key value =
   visit_key state key;
-  state.evaluated <- (cfg, value) :: state.evaluated;
+  Ft_anneal.Sa.Archive.add state.archive cfg value;
   Ft_obs.Trace.incr "driver.commits";
   if value > snd state.best then begin
     state.best <- (cfg, value);
@@ -102,7 +104,7 @@ let init evaluator initial =
         {
           evaluator;
           visited = Hashtbl.create 1024;
-          evaluated = [];
+          archive = Ft_anneal.Sa.Archive.create ();
           (* Seed the incumbent below every representable value so the
              first committed point is absorbed unconditionally: a 0.
              seed would survive any run whose measured values are all

@@ -1,6 +1,7 @@
-(** Shared bookkeeping for the search methods: the evaluated set H,
-    the incumbent best, the visited set (the paper's exploration never
-    revisits points), and the best-so-far timeline. *)
+(** Shared bookkeeping for the search methods: the evaluated set H
+    (an annealing archive, DESIGN.md §17), the incumbent best, the
+    visited set (the paper's exploration never revisits points), and
+    the best-so-far timeline. *)
 
 type sample = { at_s : float; n_evals : int; best_value : float }
 
@@ -17,13 +18,19 @@ type result = {
 type state = {
   evaluator : Evaluator.t;
   visited : (string, unit) Hashtbl.t;
-  mutable evaluated : (Ft_schedule.Config.t * float) list;
+  archive : Ft_schedule.Config.t Ft_anneal.Sa.Archive.t;
+      (** H: every committed point with its value, in commit order
+          (duplicate seeds included) — select starting points with
+          {!Ft_anneal.Sa.Archive.select}. *)
   mutable best : Ft_schedule.Config.t * float;
   mutable samples : sample list;
 }
 
 val visit : state -> Ft_schedule.Config.t -> unit
 val seen : state -> Ft_schedule.Config.t -> bool
+
+(** H as [(config, value)] pairs, newest first (a fresh list). *)
+val evaluated : state -> (Ft_schedule.Config.t * float) list
 
 (** [absorb state cfg value] folds an externally measured point into
     H/visited, updating the incumbent and the timeline, without

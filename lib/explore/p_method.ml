@@ -21,8 +21,8 @@ module Policy = struct
           if not (Driver.seen state cfg) then ignore (Driver.evaluate state cfg)
         end;
         let starts =
-          Ft_anneal.Sa.select rng ~gamma:params.gamma ~count:params.n_starts
-            state.evaluated
+          Ft_anneal.Sa.Archive.select state.archive rng ~gamma:params.gamma
+            ~count:params.n_starts
         in
         Trace_util.sa_starts starts;
         let frontier =

@@ -153,14 +153,14 @@ let test_incumbent_tracks_max_of_history () =
       (fun (cfg, value) ->
         String.equal (Config.key cfg) (Config.key result.best_config)
         && value = result.best_value)
-      state.evaluated
+      (Ft_explore.Driver.evaluated state)
   in
   check_bool "best is a measured pair" true in_history;
   (* the seed point is valid, so it (value > 0) must beat the injected
      negatives; the incumbent is the max over H *)
   Alcotest.(check (float 1e-9)) "incumbent is max of H"
     (List.fold_left (fun acc (_, v) -> Float.max acc v) neg_infinity
-       state.evaluated)
+       (Ft_explore.Driver.evaluated state))
     result.best_value
 
 (* Regression: with a negative final best, the old threshold

@@ -195,7 +195,9 @@ let test_measure_batch_duplicates_hit_cache () =
 (* -- Driver.evaluate_batch ------------------------------------------ *)
 
 let driver_fingerprint (state : Ft_explore.Driver.state) =
-  ( List.map (fun (cfg, v) -> (Config.key cfg, v)) state.evaluated,
+  ( List.map
+      (fun (cfg, v) -> (Config.key cfg, v))
+      (Ft_explore.Driver.evaluated state),
     (Config.key (fst state.best), snd state.best),
     List.map
       (fun (s : Ft_explore.Driver.sample) -> (s.at_s, s.n_evals, s.best_value))
