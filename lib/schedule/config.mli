@@ -48,14 +48,18 @@ val product_level : int array array -> int -> int
 val order_perm : int -> int array
 
 (** Canonical string key (for visited-set deduplication).  Memoized on
-    the record: the first call serializes through a per-domain reused
-    buffer, later calls return the cached string. *)
+    the record: the first call serializes (see [compute_key]), later
+    calls return the cached string. *)
 val key : t -> string
 
 (** Always-fresh serialization, bypassing the memo — [key] equals this
-    on every sound mutation path. *)
+    on every sound mutation path.  Each integer appears exactly as
+    [string_of_int] prints it; the returned string is the only
+    allocation. *)
 val compute_key : t -> string
 
+(** [equal a b] iff [compute_key a = compute_key b], without building
+    either key; ignores the memo. *)
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

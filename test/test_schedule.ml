@@ -337,6 +337,161 @@ let qcheck_key_memo_stays_fresh =
       | Ok parsed -> fresh parsed && String.equal (Config.key parsed) (Config.key cfg)
       | Error _ -> false)
 
+(* The key serializer before it wrote digits itself, kept as the oracle:
+   every integer through [string_of_int].  Keys are on disk, on the
+   wire, in the eval cache and in the fault plan's hashes, so the new
+   writer must reproduce these bytes exactly. *)
+let oracle_key (cfg : Config.t) =
+  let buf = Buffer.create 128 in
+  let add_int n = Buffer.add_string buf (string_of_int n) in
+  let add_factors factors =
+    Array.iter
+      (fun parts ->
+        Array.iter
+          (fun f ->
+            add_int f;
+            Buffer.add_char buf '.')
+          parts;
+        Buffer.add_char buf '/')
+      factors
+  in
+  let add_field tag n =
+    Buffer.add_char buf tag;
+    add_int n;
+    Buffer.add_char buf '.'
+  in
+  add_factors cfg.spatial;
+  Buffer.add_char buf '|';
+  add_factors cfg.reduce;
+  Buffer.add_char buf '|';
+  add_field 'o' cfg.order_id;
+  add_field 'u' cfg.unroll_id;
+  add_field 'f' cfg.fuse_levels;
+  add_field 'v' (Bool.to_int cfg.vectorize);
+  add_field 'i' (Bool.to_int cfg.inline);
+  add_field 'p' cfg.partition_id;
+  Buffer.contents buf
+
+let gemm512_space () = Space.make (Ft_ir.Operators.gemm ~m:512 ~n:512 ~k:512) Target.v100
+
+let yolo_space name target =
+  Space.make (Ft_workloads.Yolo.graph (Ft_workloads.Yolo.find name)) target
+
+let test_golden_keys () =
+  let check name space expected =
+    Alcotest.(check string) name expected
+      (Config.compute_key (Space.default_config space))
+  in
+  check "gemm 512^3 / v100" (gemm512_space ())
+    "512.1.1.1./512.1.1.1./|512.1.1./|o0.u0.f1.v0.i1.p0.";
+  check "yolo C8 / xeon" (yolo_space "C8" Target.xeon_e5_2699_v4)
+    "1.1.1.1./512.1.1.1./28.1.1.1./28.1.1.1./|256.1.1./3.1.1./3.1.1./|o0.u0.f1.v0.i1.p0.";
+  check "yolo C3 / vu9p" (yolo_space "C3" Target.vu9p)
+    "1.1.1.1./128.1.1.1./56.1.1.1./56.1.1.1./|192.1.1./1.1.1./1.1.1./|o0.u0.f1.v0.i1.p0."
+
+(* Hand-made configs whose integers sit on every digit-count boundary,
+   at both signs and at the ends of the int range. *)
+let boundary_ints =
+  [ 0; 1; 9; 10; 11; 99; 100; 101; 999; 1000; 999_999_999; 1_000_000_000;
+    max_int; max_int - 1; -1; -9; -10; -99; -100; -1_000_000_000; min_int;
+    min_int + 1 ]
+
+let test_key_digit_boundaries () =
+  let check cfg =
+    Alcotest.(check string) (oracle_key cfg) (oracle_key cfg) (Config.compute_key cfg)
+  in
+  List.iter
+    (fun n ->
+      check
+        {
+          Config.spatial = [| [| n; 1; n |]; [||] |];
+          reduce = [| [| n |] |];
+          order_id = n;
+          unroll_id = n;
+          fuse_levels = n;
+          vectorize = n land 1 = 1;
+          inline = n < 0;
+          partition_id = n;
+          key_memo = None;
+        })
+    boundary_ints;
+  check
+    {
+      Config.spatial = [||];
+      reduce = [||];
+      order_id = 0;
+      unroll_id = 0;
+      fuse_levels = 0;
+      vectorize = false;
+      inline = false;
+      partition_id = 0;
+      key_memo = None;
+    }
+
+let random_target_space rng =
+  match Ft_util.Rng.int rng 3 with
+  | 0 -> gemm512_space ()
+  | 1 -> yolo_space "C8" Target.xeon_e5_2699_v4
+  | _ -> yolo_space "C3" Target.vu9p
+
+let qcheck_key_matches_oracle =
+  QCheck.Test.make ~name:"compute_key = string_of_int oracle on all targets" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let space = random_target_space rng in
+      let cfg = Space.random_config rng space in
+      String.equal (Config.compute_key cfg) (oracle_key cfg)
+      && List.for_all
+           (fun (_, next) -> String.equal (Config.compute_key next) (oracle_key next))
+           (Neighborhood.neighbors space cfg))
+
+(* A fresh key's only allocation is its result string: 51 bytes, 8 words
+   for a gemm 512^3 key.  The bound leaves room for a header-sized slip,
+   not for a string per integer. *)
+let test_key_allocation () =
+  let space = gemm512_space () in
+  let rng = Ft_util.Rng.create 11 in
+  let cfgs = Array.init 64 (fun _ -> Space.random_config rng space) in
+  let calls = 1_000 in
+  ignore (Config.compute_key cfgs.(0));
+  let before = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    ignore (Sys.opaque_identity (Config.compute_key cfgs.(i land 63)))
+  done;
+  let per_key = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool (Printf.sprintf "fresh key allocates %.1f words < 16" per_key) true
+    (per_key < 16.)
+
+(* [equal] compares fields instead of keys; it must agree with fresh
+   keys everywhere, including on records mutated after being keyed. *)
+let qcheck_equal_matches_keys =
+  QCheck.Test.make ~name:"equal = fresh key equality, mutated copies too" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Ft_util.Rng.create seed in
+      let space = random_target_space rng in
+      let a = Space.random_config rng space in
+      let b = Space.random_config rng space in
+      let agrees x y =
+        Config.equal x y = String.equal (Config.compute_key x) (Config.compute_key y)
+      in
+      ignore (Config.key a);
+      let mutated = Config.copy a in
+      ignore (Config.key mutated);
+      mutated.spatial.(0).(0) <- mutated.spatial.(0).(0) + 1;
+      let reduced = Config.copy a in
+      ignore (Config.key reduced);
+      (match reduced.reduce with
+      | [||] -> ()
+      | r -> r.(0).(Array.length r.(0) - 1) <- r.(0).(Array.length r.(0) - 1) * 2);
+      agrees a b && agrees a a && agrees a (Config.copy a) && agrees a mutated
+      && agrees mutated a && agrees a reduced
+      && agrees a { a with vectorize = not a.vectorize; key_memo = None }
+      && agrees a { a with partition_id = a.partition_id + 1; key_memo = None }
+      && List.for_all (fun (_, next) -> agrees a next && agrees next next)
+           (Neighborhood.neighbors space a))
+
 let () =
   Alcotest.run "ft_schedule"
     [
@@ -356,6 +511,11 @@ let () =
           Alcotest.test_case "key and copy" `Quick test_config_key_and_copy;
           QCheck_alcotest.to_alcotest qcheck_key_injective;
           QCheck_alcotest.to_alcotest qcheck_key_memo_stays_fresh;
+          Alcotest.test_case "golden keys" `Quick test_golden_keys;
+          Alcotest.test_case "key digit boundaries" `Quick test_key_digit_boundaries;
+          QCheck_alcotest.to_alcotest qcheck_key_matches_oracle;
+          Alcotest.test_case "key allocation" `Quick test_key_allocation;
+          QCheck_alcotest.to_alcotest qcheck_equal_matches_keys;
         ] );
       ( "neighborhood",
         [
